@@ -16,9 +16,11 @@ Four knobs, each isolated on the Grid'5000 Bismar preset:
 
 import pytest
 
+import repro
+
 from repro.common.tables import Table
 from repro.experiments.platforms import grid5000_bismar_platform
-from repro.experiments.runner import harmony_factory, run_one, static_factory
+from repro.experiments.runner import harmony_factory, static_factory
 from repro.monitor.collector import ClusterMonitor
 from repro.stale.dcmodel import DeploymentInfo, system_stale_rate_dc
 from repro.stale.model import params_from_snapshot, system_stale_rate
@@ -36,10 +38,15 @@ def test_abl_staleness_definitions(benchmark, platform, record_table):
     def run():
         rows = []
         for lv in (1, 2, 3):
-            rep, _ = run_one(
-                platform, static_factory(lv, lv, name=f"n={lv}"),
-                ops=8000, clients=16, seed=3,
-            )
+            rep = repro.run(
+                repro.RunSpec(
+                    platform=platform,
+                    policy=static_factory(lv, lv, name=f"n={lv}"),
+                    ops=8000,
+                    clients=16,
+                    seed=3,
+                )
+            ).report
             rows.append((lv, rep.stale_rate_strict, rep.stale_rate))
         return rows
 
@@ -62,12 +69,16 @@ def test_abl_monitoring_window(benchmark, platform, record_table):
     def run():
         rows = []
         for window in (0.5, 2.0, 8.0):
-            rep, _ = run_one(
-                platform,
-                harmony_factory(0.10, monitor_window=window),
-                ops=12_000, clients=16, seed=3,
-                target_throughput=8000.0,
-            )
+            rep = repro.run(
+                repro.RunSpec(
+                    platform=platform,
+                    policy=harmony_factory(0.10, monitor_window=window),
+                    ops=12_000,
+                    clients=16,
+                    seed=3,
+                    target_throughput=8000.0,
+                )
+            ).report
             rows.append((window, rep.stale_rate_strict, rep.level_mix()))
         return rows
 

@@ -3,7 +3,8 @@
 Every benchmark regenerates one of the paper's tables/figures. Besides the
 pytest-benchmark timing, each bench writes its rendered table (and the
 measured claim lines) to ``benchmarks/results/<name>.txt`` so the artifacts
-survive stdout capture; EXPERIMENTS.md is assembled from those files.
+survive stdout capture and can be read after a run, e.g.
+``python -m pytest benchmarks/bench_ablations.py``.
 """
 
 from __future__ import annotations

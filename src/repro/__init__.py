@@ -63,7 +63,6 @@ from repro.elastic import (
     ElasticSpec,
     RebalanceConfig,
     StreamingRebalancer,
-    deploy_and_run_elastic,
 )
 from repro.workload import (
     WorkloadRunner,
@@ -93,7 +92,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import ScenarioSpec
 from repro.experiments.sweep import SweepRunner
-from repro.facade import AnyRunOutcome, LocalhostRunOutcome, RunSpec, run
+from repro.facade import AnyRunOutcome, LocalhostRunOutcome, RunOutcome, RunSpec, run
 
 __version__ = "1.0.0"
 
@@ -136,12 +135,12 @@ __all__ = [
     "ElasticSpec",
     "RebalanceConfig",
     "StreamingRebalancer",
-    "deploy_and_run_elastic",
     "TxnWorkloadSpec",
     "bank_transfer_mix",
     # the unified run facade and its building blocks
     "RunSpec",
     "run",
+    "RunOutcome",
     "AnyRunOutcome",
     "LocalhostRunOutcome",
     "BACKENDS",

@@ -45,7 +45,6 @@ from repro.cluster.versions import Version
 from repro.net.topology import Topology
 from repro.net.transport import Network
 from repro.obs.events import EventBus
-from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 
 __all__ = ["StoreConfig", "ReplicatedStore", "MembershipChange"]
@@ -156,9 +155,8 @@ class ReplicatedStore:
         self.rng = rngs.stream("store.coordinator")
         self.network = Network(sim, topology, rng=rngs.stream("store.network"))
         #: the transport every protocol layer (coordinators, 2PC, failure
-        #: hooks) speaks; a pure view over ``(sim, network)`` here, so the
-        #: indirection costs one attribute hop and changes no behavior.
-        self.transport = SimTransport(sim, self.network)
+        #: hooks) speaks: on the simulator, the network itself.
+        self.transport = self.network
         self.ring = TokenRing(topology.n_nodes, vnodes=self.config.vnodes)
         self.nodes: List[StorageNode] = [
             StorageNode(

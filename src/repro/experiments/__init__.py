@@ -5,8 +5,8 @@ in ``benchmarks/`` are thin wrappers around these):
 
 - :mod:`repro.experiments.platforms` -- the two evaluation platforms as
   simulated presets (Amazon EC2 / Grid'5000 deployments);
-- :mod:`repro.experiments.runner` -- build-deploy-run-bill plumbing and
-  policy factories;
+- :mod:`repro.experiments.runner` -- the policy factories every run
+  spec names (the run itself is :func:`repro.run`);
 - :mod:`repro.experiments.harmony_eval` -- E1: performance/staleness of
   Harmony vs static eventual/strong (§IV-A);
 - :mod:`repro.experiments.cost_eval` -- E2: consistency impact on monetary
@@ -33,14 +33,11 @@ from repro.experiments.platforms import (
 )
 from repro.experiments.runner import (
     PolicyFactory,
-    RunOutcome,
     static_factory,
     harmony_factory,
     bismar_factory,
     rationing_factory,
     rwratio_factory,
-    deploy_and_run,
-    run_one,
 )
 
 __all__ = [
@@ -52,12 +49,9 @@ __all__ = [
     "ec2_cost_platform",
     "grid5000_bismar_platform",
     "PolicyFactory",
-    "RunOutcome",
     "static_factory",
     "harmony_factory",
     "bismar_factory",
     "rationing_factory",
     "rwratio_factory",
-    "deploy_and_run",
-    "run_one",
 ]

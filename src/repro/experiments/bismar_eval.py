@@ -24,7 +24,8 @@ from repro.cluster.consistency import ConsistencyLevel
 from repro.cost.billing import Bill
 from repro.bismar.efficiency import consistency_cost_efficiency
 from repro.experiments.platforms import Platform
-from repro.experiments.runner import bismar_factory, run_one, static_factory
+from repro.experiments.runner import bismar_factory, static_factory
+from repro.facade import RunSpec, run
 from repro.workload.client import RunReport
 from repro.workload.workloads import WorkloadSpec, heavy_read_update
 
@@ -83,15 +84,17 @@ def run_efficiency_samples(
     for pname, spec in patterns.items():
         rows: List[Tuple[str, RunReport, Bill]] = []
         for lv in levels:
-            rep, bill = run_one(
-                platform,
-                static_factory(lv, lv, name=f"n={lv}"),
-                spec=spec,
-                ops=ops,
-                seed=seed,
-                target_throughput=target_throughput,
+            out = run(
+                RunSpec(
+                    platform=platform,
+                    policy=static_factory(lv, lv, name=f"n={lv}"),
+                    workload=spec,
+                    ops=ops,
+                    seed=seed,
+                    target_throughput=target_throughput,
+                )
             )
-            rows.append((f"n={lv}", rep, bill))
+            rows.append((f"n={lv}", out.report, out.bill))
         floor = min(b.cost_per_kop for _, _, b in rows if b.cost_per_kop > 0)
         for name, rep, bill in rows:
             rel = bill.cost_per_kop / floor if floor > 0 else 1.0
@@ -205,12 +208,18 @@ def run_bismar_eval(
     reports: Dict[str, RunReport] = {}
     bills: Dict[str, Bill] = {}
     for name, factory in factories.items():
-        rep, bill = run_one(
-            platform, factory, spec=spec, ops=ops, seed=seed,
-            target_throughput=target_throughput,
+        out = run(
+            RunSpec(
+                platform=platform,
+                policy=factory,
+                workload=spec,
+                ops=ops,
+                seed=seed,
+                target_throughput=target_throughput,
+            )
         )
-        reports[name] = rep
-        bills[name] = bill
+        reports[name] = out.report
+        bills[name] = out.bill
 
     quorum_kop = bills["QUORUM"].cost_per_kop
     bismar_kop = bills["bismar"].cost_per_kop

@@ -1,14 +1,10 @@
 """One front door for every experiment run: ``repro.run(RunSpec)``.
 
-Historically the harness grew three parallel entry points --
-``deploy_and_run`` (plain single-op workloads),
-``deploy_and_run_txn`` (multi-key transactions) and
-``deploy_and_run_elastic`` (capacity-changing deployments) -- whose
-signatures drifted apart one keyword at a time. :class:`RunSpec` is the
-union of those knobs as one keyword-only declarative spec, and
-:func:`run` is the single dispatcher: the *shape* of the spec (which of
-``workload`` / ``txn_workload`` / ``elastic`` is set) picks the harness,
-and the ``backend`` field picks the execution engine:
+:class:`RunSpec` is one keyword-only declarative spec for every run
+shape, and :func:`run` is the only run harness. The *shape* of the spec
+(which of ``workload`` / ``txn_workload`` / ``elastic`` is set) switches
+optional stages of one build-run-bill sequence on or off, and the
+``backend`` field picks the execution engine:
 
 - ``backend="sim"`` (default): the deterministic discrete-event
   simulator. Bit-for-bit reproducible; this is what every result table
@@ -19,9 +15,6 @@ and the ``backend`` field picks the execution engine:
   WALs. Wall-clock, hence not deterministic; supported for
   transactional workloads, and cross-validated against the simulator by
   ``repro xval`` (:mod:`repro.runtime.xval`).
-
-The three old names still work as thin wrappers that emit a
-:class:`DeprecationWarning`; in-repo code calls this facade.
 """
 
 from __future__ import annotations
@@ -30,24 +23,54 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from repro.common.errors import ConfigError
-from repro.elastic.runner import ElasticRunOutcome, ElasticSpec, _deploy_and_run_elastic
+from repro.cluster.failures import FailureInjector
+from repro.cluster.store import ReplicatedStore
+from repro.cost.billing import Bill, Biller
+from repro.elastic.autoscale import CostAwareAutoscaler
+from repro.elastic.cluster import ElasticCluster
+from repro.elastic.runner import ElasticSpec, _elastic_block, _repace
 from repro.experiments.platforms import Platform
-from repro.experiments.runner import (
-    FailureScript,
-    PolicyFactory,
-    RunOutcome,
-    _deploy_and_run,
-)
-from repro.obs.recorder import ObsConfig
+from repro.experiments.runner import FailureScript, PolicyFactory
+from repro.monitor.collector import ClusterMonitor
+from repro.obs.recorder import ObsConfig, RunObserver
+from repro.policy import ConsistencyPolicy
 from repro.runtime import BACKENDS
-from repro.txn.api import TxnConfig
-from repro.txn.runner import TxnRunOutcome, _deploy_and_run_txn
-from repro.workload.workloads import TxnWorkloadSpec, WorkloadSpec
+from repro.txn.api import TransactionalStore, TxnConfig
+from repro.txn.runner import TxnRunner
+from repro.workload.client import RunReport, WorkloadRunner
+from repro.workload.workloads import (
+    TxnWorkloadSpec,
+    WorkloadSpec,
+    heavy_read_update,
+)
 
 if TYPE_CHECKING:  # localhost imports are deferred (they pull asyncio/tempfile)
     from repro.runtime.localhost import LocalhostSpec
 
-__all__ = ["RunSpec", "LocalhostRunOutcome", "AnyRunOutcome", "run"]
+__all__ = ["RunSpec", "RunOutcome", "LocalhostRunOutcome", "AnyRunOutcome", "run"]
+
+
+@dataclass
+class RunOutcome:
+    """Everything one simulated deployment run produced.
+
+    ``policy`` and ``store`` are the live objects from the run, so adaptive
+    policies can be asked for their decision timelines
+    (``policy.level_time_fractions()``) and the store for post-run
+    summaries. The stage fields are ``None`` when that stage was off:
+    ``tstore`` is set on transactional runs, ``cluster`` (and
+    ``autoscaler``, when one was configured) on elastic runs, ``obs`` when
+    the spec asked for a :class:`~repro.obs.recorder.ObsConfig`.
+    """
+
+    report: RunReport
+    bill: Bill
+    policy: ConsistencyPolicy
+    store: ReplicatedStore
+    obs: Optional[RunObserver] = None
+    tstore: Optional[TransactionalStore] = None
+    cluster: Optional[ElasticCluster] = None
+    autoscaler: Optional[CostAwareAutoscaler] = None
 
 
 @dataclass
@@ -80,9 +103,7 @@ class LocalhostRunOutcome:
         return bool(self.result["timed_out"])
 
 
-AnyRunOutcome = Union[
-    RunOutcome, TxnRunOutcome, ElasticRunOutcome, LocalhostRunOutcome
-]
+AnyRunOutcome = Union[RunOutcome, LocalhostRunOutcome]
 
 
 @dataclass(kw_only=True)
@@ -201,15 +222,20 @@ def _hotspot_shape(w: TxnWorkloadSpec) -> Tuple[int, float]:
     return max(1, int(w.record_count * 0.05)), 0.5
 
 
+def _txn_config(spec: RunSpec) -> TxnConfig:
+    """The spec's txn config, with ``commit_protocol`` (when set) applied."""
+    config = spec.txn_config or TxnConfig()
+    if spec.commit_protocol is not None:
+        config = replace(config, commit_protocol=str(spec.commit_protocol))
+    return config
+
+
 def _derive_localhost_spec(spec: RunSpec) -> "LocalhostSpec":
     """Build the asyncio run's :class:`LocalhostSpec` from the sim-style spec."""
     from repro.runtime.localhost import LocalhostSpec
 
     w = spec.txn_workload
     topology = spec.platform.topology_factory()
-    config = spec.txn_config or TxnConfig()
-    if spec.commit_protocol is not None:
-        config = replace(config, commit_protocol=str(spec.commit_protocol))
     hot_keys, hot_fraction = _hotspot_shape(w)
     return LocalhostSpec(
         topology=topology,
@@ -230,7 +256,7 @@ def _derive_localhost_spec(spec: RunSpec) -> "LocalhostSpec":
         hot_fraction=hot_fraction,
         value_size=w.value_size,
         seed=spec.seed,
-        txn_config=config,
+        txn_config=_txn_config(spec),
     )
 
 
@@ -241,15 +267,122 @@ def _run_asyncio(spec: RunSpec) -> LocalhostRunOutcome:
     return LocalhostRunOutcome(result=run_localhost(lspec), spec=lspec)
 
 
+def _run_sim(spec: RunSpec) -> RunOutcome:
+    """The simulator harness: one deployment, built, run and billed.
+
+    Stage order is part of the seeded output (it fixes the order of
+    same-time events), so the optional elastic and txn stages sit at
+    fixed points of the one sequence. The failure script runs on the
+    fresh deployment *before* the workload starts, so its times are
+    relative to the beginning of the run.
+    """
+    platform, seed = spec.platform, spec.seed
+    sim, store = platform.build(seed=seed)
+    policy = spec.policy(store)
+
+    elastic = spec.elastic
+    cluster: Optional[ElasticCluster] = None
+    autoscaler: Optional[CostAwareAutoscaler] = None
+    if elastic is not None:
+        cluster = ElasticCluster(store, rebalance=elastic.rebalance)
+        if elastic.autoscaler is not None:
+            monitor = ClusterMonitor(window=2.0)
+            store.add_listener(monitor)
+            autoscaler = CostAwareAutoscaler(
+                cluster, monitor, platform.prices, elastic.autoscaler
+            )
+            autoscaler.start()
+        if elastic.script is not None:
+            elastic.script(cluster)
+
+    tstore: Optional[TransactionalStore] = None
+    workload: Union[WorkloadSpec, TxnWorkloadSpec]
+    if spec.txn_workload is not None:
+        workload = spec.txn_workload
+        tstore = TransactionalStore(store, policy=policy, config=_txn_config(spec))
+    else:
+        workload = spec.workload or heavy_read_update(
+            record_count=platform.default_record_count
+        )
+
+    biller = Biller(store, platform.prices, workload.data_size_bytes())
+    if spec.failure_script is not None:
+        spec.failure_script(FailureInjector(store))
+    observer: Optional[RunObserver] = None
+    if spec.obs is not None:
+        observer = RunObserver(
+            store, spec.obs, policy=policy, run_meta={"seed": seed}
+        )
+        if tstore is not None:
+            tstore.obs = observer
+
+    clients = spec.clients if spec.clients is not None else platform.default_clients
+    runner: Union[TxnRunner, WorkloadRunner]
+    if tstore is not None:
+        txns = spec.ops
+        if txns is None:
+            txns = max(platform.default_ops // 10, 100)
+        runner = TxnRunner(
+            tstore,
+            workload,
+            n_clients=clients,
+            txns_total=txns,
+            seed=seed,
+            warmup_fraction=spec.warmup_fraction,
+            target_throughput=spec.target_throughput,
+            biller=biller,
+        )
+    else:
+        runner = WorkloadRunner(
+            store,
+            workload,
+            policy=policy,
+            n_clients=clients,
+            ops_total=spec.ops if spec.ops is not None else platform.default_ops,
+            seed=seed,
+            warmup_fraction=spec.warmup_fraction,
+            target_throughput=spec.target_throughput,
+            biller=biller,
+            client_mode=spec.client_mode,
+        )
+        if elastic is not None:
+            for t, rate in elastic.pacing_schedule:
+                sim.schedule_at(t, _repace, runner, float(rate))
+
+    report = runner.run()
+    # The bill covers the measurement window, not the post-run drain.
+    bill = biller.bill()
+    if cluster is not None:
+        if autoscaler is not None:
+            autoscaler.stop()
+        # Let in-flight migrations finish (bounded): the workload window
+        # just ended first; the hand-off's in-flight-write gate in
+        # particular needs one more pump tick after the last write settles.
+        deadline = sim.now + 5.0
+        while cluster.rebalancer.active and sim.now < deadline:
+            sim.run(until=min(sim.now + 0.05, deadline))
+        report.elastic = _elastic_block(cluster, autoscaler)
+    if observer is not None:
+        observer.finish()
+    return RunOutcome(
+        report=report,
+        bill=bill,
+        policy=policy,
+        store=store,
+        obs=observer,
+        tstore=tstore,
+        cluster=cluster,
+        autoscaler=autoscaler,
+    )
+
+
 def run(spec: RunSpec) -> AnyRunOutcome:
     """Execute one run described by ``spec`` and return its outcome.
 
-    Dispatch: ``backend="asyncio"`` routes to the localhost runtime
-    (returns :class:`LocalhostRunOutcome`); on the sim backend the
-    workload shape picks the harness -- ``elastic`` set returns an
-    :class:`~repro.elastic.runner.ElasticRunOutcome`, ``txn_workload``
-    set a :class:`~repro.txn.runner.TxnRunOutcome`, otherwise a plain
-    :class:`~repro.experiments.runner.RunOutcome`.
+    ``backend="asyncio"`` routes to the localhost runtime and returns a
+    :class:`LocalhostRunOutcome`; the sim backend returns a
+    :class:`RunOutcome` whose ``tstore`` / ``cluster`` fields say which
+    optional stages the spec's shape switched on.
 
     >>> from repro.experiments import single_dc_platform, harmony_factory
     >>> from repro.facade import RunSpec, run
@@ -260,46 +393,4 @@ def run(spec: RunSpec) -> AnyRunOutcome:
     """
     if spec.backend == "asyncio":
         return _run_asyncio(spec)
-    if spec.elastic is not None:
-        return _deploy_and_run_elastic(
-            spec.platform,
-            spec.policy,
-            spec.elastic,
-            spec=spec.workload,
-            ops=spec.ops,
-            clients=spec.clients,
-            seed=spec.seed,
-            warmup_fraction=spec.warmup_fraction,
-            target_throughput=spec.target_throughput,
-            failure_script=spec.failure_script,
-            client_mode=spec.client_mode,
-            obs=spec.obs,
-        )
-    if spec.txn_workload is not None:
-        return _deploy_and_run_txn(
-            spec.platform,
-            spec.policy,
-            spec.txn_workload,
-            txns=spec.ops,
-            clients=spec.clients,
-            seed=spec.seed,
-            warmup_fraction=spec.warmup_fraction,
-            target_throughput=spec.target_throughput,
-            failure_script=spec.failure_script,
-            txn_config=spec.txn_config,
-            commit_protocol=spec.commit_protocol,
-            obs=spec.obs,
-        )
-    return _deploy_and_run(
-        spec.platform,
-        spec.policy,
-        spec=spec.workload,
-        ops=spec.ops,
-        clients=spec.clients,
-        seed=spec.seed,
-        warmup_fraction=spec.warmup_fraction,
-        target_throughput=spec.target_throughput,
-        failure_script=spec.failure_script,
-        client_mode=spec.client_mode,
-        obs=spec.obs,
-    )
+    return _run_sim(spec)

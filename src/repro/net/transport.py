@@ -1,7 +1,9 @@
 """Message transport: delay sampling, delivery, traffic accounting, faults.
 
 :class:`Network` is the single fabric every node and coordinator sends
-through. It does three jobs:
+through, and the simulator's :class:`~repro.runtime.interface.Transport`:
+the protocol core reads the clock and sets timers through it too. It does
+three jobs:
 
 1. **delivery** -- sample a one-way delay from the topology's latency model
    for the link class and schedule the receive callback on the simulator;
@@ -21,6 +23,7 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
 from repro.net.topology import LinkClass, Topology
+from repro.runtime.interface import Transport
 from repro.simcore.simulator import Simulator
 
 __all__ = ["TrafficMatrix", "Network"]
@@ -105,8 +108,8 @@ class TrafficMatrix:
         return f"TrafficMatrix({parts or 'empty'})"
 
 
-class Network:
-    """The message fabric between nodes.
+class Network(Transport):
+    """The message fabric between nodes (the discrete-event ``Transport``).
 
     Parameters
     ----------
@@ -122,7 +125,9 @@ class Network:
     Delivery is fire-and-forget: :meth:`send` schedules
     ``deliver(*args)`` after the sampled delay. Reliability is modelled at
     this layer only through partitions; omission failures of individual
-    nodes are modelled by the cluster layer marking nodes down.
+    nodes are modelled by the cluster layer marking nodes down. Callbacks
+    are plain function references inside one process, so
+    :meth:`register` has nothing to record.
     """
 
     def __init__(
@@ -163,6 +168,18 @@ class Network:
         """Drop memoized routes after the topology changed (elastic growth)."""
         self._route_cache.clear()
 
+    # -- clock and timers ---------------------------------------------------------
+
+    @property
+    def now(self) -> float:
+        return self.sim.now
+
+    def set_timer(self, delay: float, fn: Callable[..., Any], *args: Any) -> Any:
+        return self.sim.schedule(delay, fn, *args)
+
+    def set_timer_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Any:
+        return self.sim.schedule_at(when, fn, *args)
+
     # -- fault injection --------------------------------------------------------
 
     def partition_dcs(self, dc_a: int, dc_b: int) -> None:
@@ -187,16 +204,14 @@ class Network:
             raise ConfigError(f"extra delay must be >= 0, got {delay}")
         self._extra_delay = float(delay)
 
-    def is_partitioned(self, src: int, dst: int) -> bool:
-        """Whether messages from node ``src`` to node ``dst`` are being dropped."""
-        key = (self.topology.dc_of(src), self.topology.dc_of(dst))
-        return key in self._partitioned
-
-    def dcs_partitioned(self, dc_a: int, dc_b: int) -> bool:
-        """Datacenter-level twin of :meth:`is_partitioned` (dc indices, not nodes)."""
+    def is_partitioned(self, dc_a: int, dc_b: int) -> bool:
+        """Whether traffic between two datacenters (indices) is being dropped."""
         return (dc_a, dc_b) in self._partitioned
 
     # -- data plane ---------------------------------------------------------------
+
+    def register(self, name: str, deliver: Callable[..., Any]) -> None:
+        """No-op: sim delivery calls ``deliver`` by reference, never by name."""
 
     def send(
         self,

@@ -2,8 +2,9 @@
 
 - :class:`~repro.runtime.interface.Transport` -- the clock/send/timer
   contract the protocol state machines speak;
-- :class:`~repro.runtime.sim.SimTransport` -- the deterministic
-  discrete-event backend (a pure view over ``Simulator`` + ``Network``);
+- :class:`~repro.net.transport.Network` -- the deterministic
+  discrete-event backend: the simulator's message fabric implements
+  the contract itself;
 - :class:`~repro.runtime.aio.AsyncioTransport` -- the localhost asyncio
   backend: real timers, a JSON wire codec, file-backed WALs.
 
@@ -12,14 +13,11 @@ through :class:`repro.RunSpec`, scenarios, sweeps and the CLI.
 """
 
 from repro.runtime.interface import TimerHandle, Transport
-from repro.runtime.sim import SimTransport
-from repro.runtime.aio import AsyncioTransport
 
 __all__ = [
     "BACKENDS",
     "TimerHandle",
     "Transport",
-    "SimTransport",
     "AsyncioTransport",
     "FileWriteAheadLog",
     "LocalhostSpec",
@@ -32,12 +30,15 @@ __all__ = [
 #: Valid values of the ``backend`` knob.
 BACKENDS = ("sim", "asyncio")
 
-#: Lazily-resolved exports: the localhost harness (and its file-backed
-#: WAL) import the txn package, which imports the cluster package, which
-#: imports :mod:`repro.runtime.sim` -- eager imports here would close
-#: that cycle. PEP 562 attribute access keeps this package importable
+#: Lazily-resolved exports: the asyncio transport imports
+#: :mod:`repro.net.transport`, whose ``Network`` subclasses
+#: :class:`Transport` from this package; the localhost harness (and its
+#: file-backed WAL) import the txn package, which imports the cluster
+#: package, which imports the network. Eager imports here would close
+#: those cycles. PEP 562 attribute access keeps this package importable
 #: from anywhere in the stack.
 _LAZY = {
+    "AsyncioTransport": "repro.runtime.aio",
     "FileWriteAheadLog": "repro.runtime.wal",
     "LocalhostSpec": "repro.runtime.localhost",
     "LocalhostStore": "repro.runtime.localhost",

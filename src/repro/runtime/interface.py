@@ -13,11 +13,10 @@ hooks need from their environment is five capabilities:
 - **timers** (:meth:`Transport.set_timer` / :meth:`Transport.set_timer_at`)
   returning cancellable handles.
 
-The state machines in :mod:`repro.txn` and :mod:`repro.cluster` hold no
-reference to a :class:`~repro.simcore.simulator.Simulator` or a
-:class:`~repro.net.transport.Network` directly -- they go through a
-:class:`Transport`, which is what lets the *same* classes run inside the
-discrete-event engine (:class:`~repro.runtime.sim.SimTransport`) or as
+The state machines in :mod:`repro.txn` and :mod:`repro.cluster` use only
+this contract, never the simulator's API, which is what lets the *same*
+classes run inside the discrete-event engine (whose
+:class:`~repro.net.transport.Network` implements the contract) or as
 asyncio tasks over a real wire codec
 (:class:`~repro.runtime.aio.AsyncioTransport`).
 

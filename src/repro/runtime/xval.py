@@ -13,8 +13,8 @@ engine:
 - one :class:`~repro.txn.api.TransactionalStore` with the shared TM and
   participant state machines.
 
-:func:`run_sim_twin` drives that stack over a
-:class:`~repro.runtime.sim.SimTransport` (deterministic virtual time);
+:func:`run_sim_twin` drives that stack over the simulator's
+:class:`~repro.net.transport.Network` (deterministic virtual time);
 :func:`~repro.runtime.localhost.run_localhost` drives it over an
 :class:`~repro.runtime.aio.AsyncioTransport` (wall clock). The asyncio
 side is **not deterministic** -- OS scheduling jitters every delivery --
@@ -48,7 +48,6 @@ from repro.common.errors import ConfigError
 from repro.common.rng import spawn_rng
 from repro.net.transport import Network
 from repro.runtime.localhost import LocalhostSpec, LocalhostStore, run_localhost
-from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 from repro.txn.api import TransactionalStore
 
@@ -65,27 +64,26 @@ def run_sim_twin(spec: LocalhostSpec) -> Dict[str, Any]:
     """Run ``spec`` on the deterministic sim backend; same result shape.
 
     The exact stack :func:`~repro.runtime.localhost.run_localhost` builds,
-    with :class:`~repro.runtime.sim.SimTransport` swapped in for the
-    asyncio transport and a callback-driven closed loop standing in for
-    the client coroutines. In-memory WALs (the sim models durability; the
+    with the simulator's :class:`~repro.net.transport.Network` as the
+    transport and a callback-driven closed loop standing in for the client
+    coroutines. In-memory WALs (the sim models durability; the
     asyncio side's files are the real thing).
     """
     topology = spec.build_topology()
     sim = Simulator()
     network = Network(sim, topology, rng=spec.seed)
-    transport = SimTransport(sim, network)
     store = LocalhostStore(
         topology,
-        transport,
+        network,
         replication_factor=min(spec.replication_factor, topology.n_nodes),
         seed=spec.seed,
         default_value_size=spec.value_size,
     )
     tstore = TransactionalStore(store, policy=None, config=spec.txn_config)
     for at, node_id, duration in spec.crashes:
-        transport.set_timer_at(at, store.crash_node, node_id)
+        network.set_timer_at(at, store.crash_node, node_id)
         if duration is not None:
-            transport.set_timer_at(at + duration, store.recover_node, node_id)
+            network.set_timer_at(at + duration, store.recover_node, node_id)
 
     rng = spawn_rng(spec.seed + 1)
     state = {"remaining": spec.txns, "outcomes": 0, "running": spec.clients}

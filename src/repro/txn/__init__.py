@@ -19,12 +19,12 @@ same deterministic event loop as everything else:
 - :mod:`repro.txn.api` -- :class:`TransactionalStore`, the client facade
   exposing ``begin/read/write/commit`` with reads routed through the
   active consistency policy;
-- :mod:`repro.txn.runner` -- closed-loop transactional clients and the
-  deploy-run-bill harness the scenario registry uses.
+- :mod:`repro.txn.runner` -- the closed-loop transactional clients
+  :func:`repro.run` drives when a spec sets ``txn_workload``.
 """
 
 from repro.txn.api import Transaction, TransactionalStore, TxnConfig, TxnOutcome
-from repro.txn.runner import TxnRunner, deploy_and_run_txn
+from repro.txn.runner import TxnRunner
 from repro.txn.wal import WalRecord, WriteAheadLog
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "TxnConfig",
     "TxnOutcome",
     "TxnRunner",
-    "deploy_and_run_txn",
     "WalRecord",
     "WriteAheadLog",
 ]

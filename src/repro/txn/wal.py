@@ -119,8 +119,14 @@ class WriteAheadLog:
     def append(self, kind: str, txn_id: int, time: float, **data: Any) -> WalRecord:
         """Durably append one record and return it."""
         rec = WalRecord(len(self.records), int(txn_id), kind, float(time), data)
+        self._install(rec)
+        return rec
+
+    def _install(self, rec: WalRecord) -> None:
+        """Add one record to the log and its indexes (no persistence)."""
         self.records.append(rec)
         self._by_txn.setdefault(rec.txn_id, []).append(rec)
+        kind = rec.kind
         if kind == REC_PREPARE:
             if not any(r.kind in _DECISIONS for r in self._by_txn[rec.txn_id]):
                 self._in_doubt.setdefault(rec.txn_id, None)
@@ -131,7 +137,6 @@ class WriteAheadLog:
                 self._tm_pending.setdefault(rec.txn_id, rec)
         elif kind == REC_TM_END:
             self._tm_pending.pop(rec.txn_id, None)
-        return rec
 
     def records_for(self, txn_id: int) -> List[WalRecord]:
         """All records of one transaction, in LSN order."""

@@ -87,9 +87,9 @@ class TestFailureInjector:
         inj = FailureInjector(store)
         inj.partition(0, 1, at=1.0, duration=1.0)
         store.sim.run(until=1.5)
-        assert store.network.is_partitioned(0, 3)
+        assert store.network.is_partitioned(0, 1)
         store.sim.run(until=3.0)
-        assert not store.network.is_partitioned(0, 3)
+        assert not store.network.is_partitioned(0, 1)
 
     def test_partition_validation(self, store):
         inj = FailureInjector(store)

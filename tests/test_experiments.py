@@ -12,10 +12,10 @@ from repro.experiments.runner import (
     bismar_factory,
     harmony_factory,
     rationing_factory,
-    run_one,
     rwratio_factory,
     static_factory,
 )
+from repro.facade import RunSpec, run
 
 
 class TestPlatforms:
@@ -55,63 +55,98 @@ class TestPlatforms:
         assert wan == pytest.approx(0.009, rel=0.01)
 
 
-class TestRunOne:
+class TestRun:
     def test_static_run_returns_report_and_bill(self):
-        plat = ec2_harmony_platform()
-        rep, bill = run_one(
-            plat, static_factory(1, 1, name="one"), ops=2000, clients=8, seed=1
+        out = run(
+            RunSpec(
+                platform=ec2_harmony_platform(),
+                policy=static_factory(1, 1, name="one"),
+                ops=2000,
+                clients=8,
+                seed=1,
+            )
         )
-        assert rep.ops_completed > 0
-        assert rep.policy == "one"
-        assert bill.total > 0
-        assert bill.ops > 0
+        assert out.report.ops_completed > 0
+        assert out.report.policy == "one"
+        assert out.bill.total > 0
+        assert out.bill.ops > 0
 
     def test_warmup_excluded_from_bill(self):
-        plat = ec2_harmony_platform()
-        rep_full, bill_full = run_one(
-            plat, static_factory(1, 1), ops=2000, clients=8, seed=1,
-            warmup_fraction=0.0,
-        )
-        rep_warm, bill_warm = run_one(
-            plat, static_factory(1, 1), ops=2000, clients=8, seed=1,
-            warmup_fraction=0.5,
-        )
-        assert bill_warm.ops < bill_full.ops
+        def bill(warmup):
+            return run(
+                RunSpec(
+                    platform=ec2_harmony_platform(),
+                    policy=static_factory(1, 1),
+                    ops=2000,
+                    clients=8,
+                    seed=1,
+                    warmup_fraction=warmup,
+                )
+            ).bill
+
+        assert bill(0.5).ops < bill(0.0).ops
 
     def test_harmony_factory_run(self):
-        plat = ec2_harmony_platform()
-        rep, _ = run_one(plat, harmony_factory(0.2), ops=3000, clients=8, seed=1)
+        rep = run(
+            RunSpec(
+                platform=ec2_harmony_platform(),
+                policy=harmony_factory(0.2),
+                ops=3000,
+                clients=8,
+                seed=1,
+            )
+        ).report
         assert rep.policy == "harmony(0.2)"
         assert rep.ops_completed > 0
         assert rep.stale_rate_strict <= 0.2 + 0.1
 
     def test_bismar_factory_run(self):
         plat = grid5000_bismar_platform()
-        rep, bill = run_one(
-            plat, bismar_factory(plat.prices, stale_cap=0.1),
-            ops=3000, clients=8, seed=1,
+        out = run(
+            RunSpec(
+                platform=plat,
+                policy=bismar_factory(plat.prices, stale_cap=0.1),
+                ops=3000,
+                clients=8,
+                seed=1,
+            )
         )
-        assert rep.policy.startswith("bismar")
-        assert bill.total > 0
+        assert out.report.policy.startswith("bismar")
+        assert out.bill.total > 0
 
     def test_baseline_factories_run(self):
         plat = ec2_harmony_platform()
         for factory in (rationing_factory(0.01), rwratio_factory(2.0)):
-            rep, _ = run_one(plat, factory, ops=1500, clients=4, seed=1)
-            assert rep.ops_completed > 0
+            spec = RunSpec(platform=plat, policy=factory, ops=1500, clients=4, seed=1)
+            assert run(spec).report.ops_completed > 0
 
     def test_target_throughput_paces(self):
-        plat = ec2_harmony_platform()
-        rep, _ = run_one(
-            plat, static_factory(1, 1), ops=2000, clients=8, seed=1,
-            target_throughput=1000.0, warmup_fraction=0.0,
-        )
+        rep = run(
+            RunSpec(
+                platform=ec2_harmony_platform(),
+                policy=static_factory(1, 1),
+                ops=2000,
+                clients=8,
+                seed=1,
+                target_throughput=1000.0,
+                warmup_fraction=0.0,
+            )
+        ).report
         assert rep.throughput == pytest.approx(1000.0, rel=0.15)
 
     def test_seed_reproducibility(self):
-        plat = ec2_harmony_platform()
-        rep1, bill1 = run_one(plat, static_factory(1, 1), ops=1500, clients=4, seed=5)
-        rep2, bill2 = run_one(plat, static_factory(1, 1), ops=1500, clients=4, seed=5)
-        assert rep1.throughput == pytest.approx(rep2.throughput)
-        assert rep1.stale_rate == rep2.stale_rate
-        assert bill1.total == pytest.approx(bill2.total)
+        def once():
+            return run(
+                RunSpec(
+                    platform=ec2_harmony_platform(),
+                    policy=static_factory(1, 1),
+                    ops=1500,
+                    clients=4,
+                    seed=5,
+                )
+            )
+
+        out1, out2 = once(), once()
+        assert out1.report.throughput == pytest.approx(out2.report.throughput)
+        assert out1.report.stale_rate == out2.report.stale_rate
+        assert out1.bill.total == pytest.approx(out2.bill.total)

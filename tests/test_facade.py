@@ -4,11 +4,11 @@ The facade's promises, each asserted here:
 
 - :class:`~repro.facade.RunSpec` rejects contradictory shapes loudly at
   construction time (not deep inside a harness);
-- dispatch picks the harness from the spec's shape and the backend knob,
-  returning the harness's native outcome type;
-- the three legacy entry points still work, emit a
-  :class:`DeprecationWarning`, and produce bit-identical reports to the
-  facade (they are thin wrappers, not forks);
+- the backend knob picks the engine, and on the simulator the spec's
+  shape switches the optional txn / elastic stages of the one harness
+  (visible as the outcome's ``tstore`` / ``cluster`` fields);
+- seeded runs of every sim shape reproduce pinned digests of their
+  report and bill;
 - the asyncio backend derives a faithful
   :class:`~repro.runtime.localhost.LocalhostSpec` from the sim-style
   spec (topology, RF, slots, keyspace, hotspot approximation);
@@ -18,12 +18,16 @@ The facade's promises, each asserted here:
 """
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
 import repro
 from repro.common.errors import ConfigError
-from repro.elastic.runner import ElasticRunOutcome, ElasticSpec, deploy_and_run_elastic
+from repro.elastic.autoscale import AutoscalerConfig
+from repro.elastic.rebalance import RebalanceConfig
+from repro.elastic.runner import ElasticSpec
 from repro.experiments import scenarios
 from repro.experiments.platforms import (
     ec2_harmony_platform,
@@ -31,8 +35,6 @@ from repro.experiments.platforms import (
     small_dc_platform,
 )
 from repro.experiments.runner import (
-    RunOutcome,
-    deploy_and_run,
     harmony_factory,
     named_policy_factory,
     static_factory,
@@ -40,14 +42,19 @@ from repro.experiments.runner import (
 from repro.experiments.sweep import plan_sweep
 from repro.facade import (
     LocalhostRunOutcome,
+    RunOutcome,
     RunSpec,
     _derive_localhost_spec,
     _hotspot_shape,
     run,
 )
+from repro.obs.recorder import ObsConfig
 from repro.txn.api import TxnConfig
-from repro.txn.runner import TxnRunOutcome, deploy_and_run_txn
-from repro.workload.workloads import TxnWorkloadSpec, bank_transfer_mix
+from repro.workload.workloads import (
+    TxnWorkloadSpec,
+    bank_transfer_mix,
+    read_mostly_latest,
+)
 
 
 def _plain_spec(**overrides):
@@ -137,12 +144,13 @@ class TestDispatch:
     def test_plain_run(self):
         out = run(_plain_spec())
         assert isinstance(out, RunOutcome)
+        assert out.tstore is None and out.cluster is None and out.obs is None
         # The report covers the measured window: 400 ops minus 20% warmup.
         assert out.report.ops_completed == 320
 
     def test_txn_run(self):
         out = run(_txn_spec())
-        assert isinstance(out, TxnRunOutcome)
+        assert out.tstore is not None and out.cluster is None
         txn = out.report.txn
         assert txn["commits"] + sum(txn["aborts"].values()) == txn["txns"]
 
@@ -157,7 +165,8 @@ class TestDispatch:
                 seed=3,
             )
         )
-        assert isinstance(out, ElasticRunOutcome)
+        assert out.cluster is not None and out.tstore is None
+        assert out.autoscaler is None  # the spec configures none
         assert out.report.elastic is not None
 
     def test_asyncio_run(self):
@@ -169,40 +178,108 @@ class TestDispatch:
         assert out.spec.txns == 10
 
 
-class TestLegacyWrappers:
-    def test_deploy_and_run_warns_and_matches_facade(self):
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            legacy = deploy_and_run(
-                single_dc_platform(), harmony_factory(0.05), ops=400, seed=11
-            )
-        fresh = run(_plain_spec())
-        # Thin wrapper, deterministic backend: bit-identical reports.
-        assert legacy.report == fresh.report
+def _digest(out):
+    """sha256 of the run's report (as a dict) plus its bill.
 
-    def test_deploy_and_run_txn_warns_and_matches_facade(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = deploy_and_run_txn(
-                single_dc_platform(),
-                named_policy_factory("eventual"),
-                bank_transfer_mix(record_count=400),
-                txns=60,
-                clients=8,
-                seed=11,
-            )
-        fresh = run(_txn_spec())
-        assert legacy.report.txn == fresh.report.txn
+    The key set, every count and every float's exact repr enter the hash,
+    so any reordering of the harness's stages that moves an event, a
+    random draw or the billing window changes it.
+    """
+    blob = json.dumps(
+        {
+            "report": dataclasses.asdict(out.report),
+            "bill": dataclasses.asdict(out.bill),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
 
-    def test_deploy_and_run_elastic_warns(self):
-        with pytest.warns(DeprecationWarning):
-            out = deploy_and_run_elastic(
-                small_dc_platform(),
-                static_factory(1, 1, name="one"),
-                ElasticSpec(),
-                ops=200,
-                clients=4,
-                seed=3,
-            )
-        assert isinstance(out, ElasticRunOutcome)
+
+def _crash_one(injector):
+    injector.crash_node(1, at=0.02, duration=0.05)
+
+
+def _pinned_plain():
+    return _plain_spec(ops=600, failure_script=_crash_one)
+
+
+def _pinned_cohort():
+    return RunSpec(
+        platform=small_dc_platform(),
+        policy=harmony_factory(0.2),
+        ops=800,
+        clients=10_000,
+        client_mode="cohort",
+        target_throughput=4000.0,
+        seed=5,
+    )
+
+
+def _pinned_txn():
+    return _txn_spec(
+        obs=ObsConfig(),
+        commit_protocol="2pc-coop",
+        failure_script=_crash_one,
+    )
+
+
+def _pinned_elastic():
+    return RunSpec(
+        platform=small_dc_platform(),
+        policy=harmony_factory(0.4),
+        workload=read_mostly_latest(record_count=800),
+        elastic=ElasticSpec(
+            autoscaler=AutoscalerConfig(
+                interval=0.02,
+                consecutive=2,
+                cooldown=0.08,
+                scale_out_util=0.55,
+                scale_in_util=0.2,
+                queue_depth_high=3.0,
+                max_nodes=24,
+            ),
+            rebalance=RebalanceConfig(pump_interval=0.005, attempt_timeout=0.1),
+            pacing_schedule=((0.1, 6000.0), (0.4, 1200.0)),
+        ),
+        target_throughput=800.0,
+        ops=2000,
+        clients=24,
+        seed=3,
+    )
+
+
+class TestPinnedOutcomes:
+    """Seeded runs of every sim shape, pinned to digests of their output.
+
+    The digests were taken before the three per-shape harnesses were
+    folded into :func:`repro.run`; they prove one harness reproduces
+    each shape bit for bit.
+    """
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (
+                _pinned_plain,
+                "0feea56de69dc8194f21ec2282c6f2b19d92a70cc4e016611a412854acb51258",
+            ),
+            (
+                _pinned_cohort,
+                "2e26c7df36880db38076026a1fc95b63fc6268e243dbab0b676de01cab559cc8",
+            ),
+            (
+                _pinned_txn,
+                "c649697ac2b7fe3b30df13d9a346042ac6b1922b87343732f195027807200aec",
+            ),
+            (
+                _pinned_elastic,
+                "f89603ad328ba6e747e940becf5adfddae0bf91e82cb835ed1d860cab0777a99",
+            ),
+        ],
+        ids=["plain", "cohort", "txn-obs", "elastic-autoscale-paced"],
+    )
+    def test_report_and_bill_are_pinned(self, make, digest):
+        assert _digest(run(make())) == digest
 
     def test_facade_itself_does_not_warn(self, recwarn):
         run(_plain_spec(ops=200))

@@ -1,7 +1,7 @@
 """Transport-conformance suite: one contract, every backend.
 
 Each test in :class:`TestTransportContract` runs twice -- once over
-:class:`~repro.runtime.sim.SimTransport` (discrete-event virtual time)
+:class:`~repro.net.transport.Network` (discrete-event virtual time)
 and once over :class:`~repro.runtime.aio.AsyncioTransport` (real asyncio
 timers and a JSON wire codec) -- through a tiny harness that hides *only*
 how time advances. The protocol-visible behaviour asserted here is what
@@ -32,7 +32,6 @@ from repro.net.topology import Datacenter, Topology, LinkClass
 from repro.net.transport import Network
 from repro.runtime.aio import AsyncioTransport
 from repro.runtime.localhost import LocalhostStore
-from repro.runtime.sim import SimTransport
 from repro.simcore.simulator import Simulator
 
 
@@ -51,8 +50,7 @@ class SimHarness:
     def __init__(self, topology, seed=7):
         self.topology = topology
         self.sim = Simulator()
-        self.network = Network(self.sim, topology, rng=seed)
-        self.transport = SimTransport(self.sim, self.network)
+        self.transport = Network(self.sim, topology, rng=seed)
 
     def run(self, setup, until):
         """Call ``setup(transport)`` at t=0, then advance to ``until``."""
@@ -252,9 +250,7 @@ class TestTransportContract:
             t.send(0, 1, 100, lambda: None)  # intra-DC
 
         h.run(setup, until=1.0)
-        traffic = (
-            h.network.traffic if h.backend == "sim" else h.transport.traffic
-        )
+        traffic = h.transport.traffic
         assert traffic.bytes[LinkClass.INTER_REGION] == 500
         assert traffic.bytes[LinkClass.INTRA_DC] == 100
 
