@@ -11,7 +11,7 @@ optional stages of one build-run-bill sequence on or off, and the
   in the repository is built from.
 - ``backend="asyncio"``: the localhost runtime
   (:mod:`repro.runtime.localhost`) -- the *same* transaction-protocol
-  classes on real asyncio timers, a JSON wire codec and file-backed
+  classes on real asyncio timers, a marshal wire codec and file-backed
   WALs. Wall-clock, hence not deterministic; supported for
   transactional workloads, and cross-validated against the simulator by
   ``repro xval`` (:mod:`repro.runtime.xval`).

@@ -6,7 +6,7 @@
   discrete-event backend: the simulator's message fabric implements
   the contract itself;
 - :class:`~repro.runtime.aio.AsyncioTransport` -- the localhost asyncio
-  backend: real timers, a JSON wire codec, file-backed WALs.
+  backend: real timers, a marshal wire codec, file-backed WALs.
 
 ``BACKENDS`` lists the valid values of the ``backend=`` knob threaded
 through :class:`repro.RunSpec`, scenarios, sweeps and the CLI.

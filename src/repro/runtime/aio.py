@@ -7,17 +7,21 @@ and never forked -- but executes them on an asyncio event loop:
 - **clock** -- ``loop.time()``, rebased to 0 at :meth:`start` and divided
   by ``time_scale``, so protocol-visible seconds match the scenario's
   configured timeouts while the wall-clock run can be uniformly sped up;
-- **messages** -- every registered protocol handler crosses a JSON wire
-  codec (:mod:`repro.runtime.codec`): the frame is encoded at the sender,
-  scheduled after a sampled link delay, and decoded into fresh objects at
-  the receiver. Unregistered callables (client completion callbacks,
-  coordinator closures) deliver as local closures -- they are the
-  client-side half of the run, not protocol traffic;
+- **messages** -- every registered protocol handler crosses the marshal
+  wire codec (:mod:`repro.runtime.codec`): the frame is encoded at the
+  sender, scheduled after a sampled link delay, and decoded into fresh
+  objects at the receiver. Frames never leave the process. Unregistered
+  callables (client completion callbacks, coordinator closures) deliver
+  as local closures -- they are the client-side half of the run, not
+  protocol traffic;
 - **link model** -- delays are sampled from the same
   :class:`~repro.net.topology.Topology` latency models the simulator
   uses, and delivery per (src, dst) link is FIFO (a message never
   overtakes an earlier one on the same link -- the TCP-like guarantee the
-  conformance suite asserts for both backends);
+  conformance suite asserts for both backends). A frame goes on the
+  loop's timer heap at its arrival time, never earlier than its link's
+  previous frame; a zero-delay frame goes straight to the ready queue
+  (``call_soon``) when no earlier frame of its link waits in the heap;
 - **timers** -- ``loop.call_later`` handles, cancellable exactly like sim
   events;
 - **partitions** -- dropped at send time by datacenter pair, mirroring
@@ -32,6 +36,7 @@ seed differ in timing. Cross-backend comparison therefore happens at the
 from __future__ import annotations
 
 import asyncio
+import math
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigError, SimulationError
@@ -42,6 +47,23 @@ from repro.runtime import codec
 from repro.runtime.interface import Transport
 
 __all__ = ["AsyncioTransport"]
+
+
+class _Link:
+    """One (src, dst) link: its route, cached, and its FIFO state."""
+
+    __slots__ = ("cls", "dcs", "model", "last", "in_heap")
+
+    def __init__(self, topology: Topology, src: int, dst: int):
+        self.cls = topology.link_class(src, dst)
+        a, b = topology.dc_of(src), topology.dc_of(dst)
+        #: the sorted datacenter pair, as partitions are keyed.
+        self.dcs = (a, b) if a <= b else (b, a)
+        self.model = topology.latency_models[self.cls]
+        #: loop time of the latest scheduled arrival: the FIFO floor.
+        self.last = -math.inf
+        #: frames scheduled by ``call_at`` and not yet dispatched.
+        self.in_heap = 0
 
 
 class AsyncioTransport(Transport):
@@ -80,10 +102,8 @@ class AsyncioTransport(Transport):
         self._handlers: Dict[str, Callable[..., Any]] = {}
         self._names: Dict[Callable[..., Any], str] = {}
         self._partitioned: set = set()
-        #: per-(src, dst) protocol time of the latest scheduled arrival:
-        #: the FIFO floor that stops a later frame overtaking an earlier
-        #: one on the same link.
-        self._link_clock: Dict[Tuple[int, int], float] = {}
+        #: per-(src, dst) route and FIFO state, built on first use.
+        self._links: Dict[Tuple[int, int], _Link] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0 = 0.0
         self._closed = False
@@ -95,9 +115,10 @@ class AsyncioTransport(Transport):
         self._loop = loop or asyncio.get_event_loop()
         self._t0 = self._loop.time()
         self._closed = False
+        self._links.clear()
 
     def close(self) -> None:
-        """Stop delivering; in-flight ``call_later`` callbacks become no-ops."""
+        """Stop delivering; in-flight frames and timers become no-ops."""
         self._closed = True
 
     def _require_loop(self) -> asyncio.AbstractEventLoop:
@@ -129,43 +150,59 @@ class AsyncioTransport(Transport):
         deliver: Callable[..., Any],
         *args: Any,
     ) -> Optional[float]:
-        loop = self._require_loop()
-        cls = self.topology.link_class(src, dst)
-        src_dc = self.topology.dc_of(src)
-        dst_dc = self.topology.dc_of(dst)
-        if self._is_cut(src_dc, dst_dc):
+        loop = self._loop
+        if loop is None:
+            raise SimulationError("AsyncioTransport.start() was never called")
+        link = self._links.get((src, dst))
+        if link is None:
+            link = self._links[(src, dst)] = _Link(self.topology, src, dst)
+        if self._partitioned and link.dcs in self._partitioned:
             self.dropped += 1
             return None
-        self.traffic.record(cls, int(nbytes))
-        delay = float(self.topology.latency_models[cls].sample(self.rng))
+        self.traffic.record(link.cls, int(nbytes))
+        delay = float(link.model.sample(self.rng))
 
         name = self._names.get(deliver)
         if name is not None:
             # Registered protocol handler: genuinely cross the wire codec.
-            frame = codec.encode(name, args)
-            dispatch: Callable[[], None] = lambda: self._dispatch(frame)
+            fn, payload = self._dispatch, codec.encode(name, args)
         else:
             # Client-side closure (operation callbacks): local delivery.
-            dispatch = lambda: self._local(deliver, args)
+            fn, payload = self._local, (deliver, args)
 
-        # FIFO per link: a frame arrives no earlier than its predecessor.
-        link = (src, dst)
-        arrival = max(self.now + delay, self._link_clock.get(link, 0.0))
-        self._link_clock[link] = arrival
-        loop.call_later(
-            max(0.0, (arrival - self.now)) * self.time_scale, dispatch
-        )
+        now = loop.time()
+        if delay == 0.0 and not link.in_heap:
+            # Nothing earlier on this link waits in the timer heap, so the
+            # ready queue cannot let this frame overtake one.
+            link.last = now
+            loop.call_soon(fn, None, payload)
+        else:
+            # FIFO per link: a frame arrives after its predecessor. Equal
+            # deadlines would pop from the heap in no fixed order.
+            when = now + delay * self.time_scale
+            if when <= link.last:
+                when = math.nextafter(link.last, math.inf)
+            link.last = when
+            link.in_heap += 1
+            loop.call_at(when, fn, link, payload)
         return delay
 
-    def _dispatch(self, frame: bytes) -> None:
+    def _dispatch(self, link: Optional[_Link], frame: bytes) -> None:
+        if link is not None:
+            link.in_heap -= 1
         if self._closed:
             return
         name, args = codec.decode(frame)
         self._handlers[name](*args)
 
-    def _local(self, deliver: Callable[..., Any], args: tuple) -> None:
+    def _local(
+        self, link: Optional[_Link], call: Tuple[Callable[..., Any], tuple]
+    ) -> None:
+        if link is not None:
+            link.in_heap -= 1
         if self._closed:
             return
+        deliver, args = call
         deliver(*args)
 
     def sample_delay(self, src: int, dst: int) -> float:

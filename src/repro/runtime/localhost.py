@@ -8,7 +8,7 @@ This module is the asyncio backend's answer to
 simulator runs, imported from the same modules --- on an
 :class:`~repro.runtime.aio.AsyncioTransport`:
 
-- protocol messages cross a JSON wire codec with sampled link delays and
+- protocol messages cross a marshal wire codec with sampled link delays and
   per-link FIFO delivery;
 - timers are ``loop.call_later`` handles on the wall clock;
 - per-node write-ahead logs are real files

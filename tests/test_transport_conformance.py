@@ -3,7 +3,7 @@
 Each test in :class:`TestTransportContract` runs twice -- once over
 :class:`~repro.net.transport.Network` (discrete-event virtual time)
 and once over :class:`~repro.runtime.aio.AsyncioTransport` (real asyncio
-timers and a JSON wire codec) -- through a tiny harness that hides *only*
+timers and a marshal wire codec) -- through a tiny harness that hides *only*
 how time advances. The protocol-visible behaviour asserted here is what
 :class:`~repro.runtime.interface.Transport` promises both engines honour:
 
@@ -28,6 +28,7 @@ import pytest
 
 from repro.common.errors import ConfigError, SimulationError
 from repro.cluster.versions import Version
+from repro.net.latency import EmpiricalLatency
 from repro.net.topology import Datacenter, Topology, LinkClass
 from repro.net.transport import Network
 from repro.runtime.aio import AsyncioTransport
@@ -332,3 +333,47 @@ class TestAsyncioTransportSpecifics:
 
         asyncio.run(main())
         assert got == []
+
+    def test_mixed_zero_and_nonzero_delays_keep_link_fifo(self):
+        # Zero-delay frames skip the timer heap (call_soon) only while no
+        # earlier frame of their link waits in it; otherwise they would
+        # overtake a due timer frame.
+        topo = Topology(
+            [Datacenter("east", "us-east")],
+            [2],
+            latency={LinkClass.INTRA_DC: EmpiricalLatency([0.0, 0.002])},
+        )
+        h = AioHarness(topo)
+        got = []
+        delays = []
+
+        def setup(t):
+            t.register("sink", got.append)
+            for i in range(200):
+                delays.append(t.send(0, 1, 64, got.append, i))
+
+        h.run(setup, until=1.0)
+        assert {0.0, 0.002} <= set(delays)
+        assert got == list(range(200))
+
+    def test_local_zero_delay_frames_keep_order_around_a_timer(self):
+        h = AioHarness(two_dc_topology())
+        got = []
+
+        def setup(t):
+            t.register("sink", got.append)
+
+            def tick():
+                got.append("timer")
+                for i in range(10, 15):
+                    t.send(2, 2, 64, got.append, i)
+
+            for i in range(5):
+                t.send(2, 2, 64, got.append, i)
+            t.set_timer(0.0, tick)
+            for i in range(5, 10):
+                t.send(2, 2, 64, got.append, i)
+
+        h.run(setup, until=0.5)
+        assert "timer" in got
+        assert [g for g in got if g != "timer"] == list(range(15))
